@@ -1,10 +1,9 @@
 //! Benchmarks of the amortized multi-query grid path: the incremental
 //! `CostEngine::rebatch` against a full engine rebuild, engine construction
 //! with a shared per-cluster `ClusterCache` against private per-engine
-//! table derivation, and a small `GridSweep` against the naive
-//! one-search-per-cell baseline. The paper-scale end-to-end numbers (and
-//! the ≥ 5× acceptance floor) live in the `bench_grid_summary` binary,
-//! which writes `BENCH_grid.json`.
+//! table derivation, and a small amortized `GridSweep`. The paper-scale
+//! numbers live in the `bench_kernel_summary` binary, which writes
+//! `BENCH_kernel.json`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use paradl_core::prelude::*;
@@ -92,14 +91,10 @@ fn small_grid() -> QueryGrid {
         .with_cluster(ClusterSpec::workstation(8))
 }
 
-fn bench_sweep_vs_per_query(c: &mut Criterion) {
+fn bench_sweep(c: &mut Criterion) {
     let grid = small_grid();
     let sweep = GridSweep::new();
-    let n = grid.num_queries();
-    assert_eq!(n, 12);
-    c.bench_function("grid/sweep_12cells_per_query", |b| {
-        b.iter(|| std::hint::black_box(sweep.run_per_query(&grid)))
-    });
+    assert_eq!(grid.num_queries(), 12);
     c.bench_function("grid/sweep_12cells_amortized", |b| {
         b.iter(|| std::hint::black_box(sweep.run(&grid)))
     });
@@ -108,6 +103,6 @@ fn bench_sweep_vs_per_query(c: &mut Criterion) {
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_rebatch_vs_rebuild, bench_shared_vs_private_cluster_tables, bench_sweep_vs_per_query
+    targets = bench_rebatch_vs_rebuild, bench_shared_vs_private_cluster_tables, bench_sweep
 );
 criterion_main!(benches);

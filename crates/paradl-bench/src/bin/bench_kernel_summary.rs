@@ -1,12 +1,9 @@
 //! Kernel-trajectory summary: times the analytic candidate-evaluation
 //! kernel (`paradl_core::kernel` — static dominance bounds, branchless mask
 //! filtering, coefficient-reconstructed communication times, incremental
-//! cost deltas) against the pre-kernel *mechanical* evaluation
-//! (`GridSweep::run_mechanical`: reference enumeration, separate
-//! memory/bound prep calls, one full estimate per candidate) on the same
-//! paper-scale grid `bench_grid_summary` sweeps, sweeps the evaluation
+//! cost deltas) stage by stage on a paper-scale grid, sweeps the evaluation
 //! chunk granularity, and writes `BENCH_kernel.json` so CI tracks the
-//! candidates/sec trajectory next to `BENCH_search.json`/`BENCH_grid.json`.
+//! candidates/sec trajectory next to `BENCH_search.json`.
 //!
 //! Run with: `cargo run --release -p paradl-bench --bin bench_kernel_summary`
 //!
@@ -17,9 +14,10 @@
 use paradl_bench::cluster_axis;
 use paradl_core::prelude::*;
 
-/// The committed end-to-end `BENCH_grid` throughput the kernel trajectory
-/// is gated against (ROADMAP: 0.26 M/s reference → 2.6 M/s top-k →
-/// 27.9 M/s amortized grid → this kernel).
+/// The end-to-end amortized grid throughput recorded before the kernel
+/// landed, which the kernel trajectory is gated against (README history:
+/// 0.26 M/s reference → 2.6 M/s top-k → 27.9 M/s amortized grid → this
+/// kernel).
 const GRID_BASELINE_CANDIDATES_PER_SEC: f64 = 27_900_000.0;
 
 /// Per-stage minima across `iters` timed runs: each stage is an
@@ -47,9 +45,9 @@ fn total_seconds(t: &GridStageTimings) -> f64 {
 }
 
 fn main() {
-    // The exact grid of bench_grid_summary: all four Table-5 model
-    // families × six global batches (1536 caps at CosmoFlow's dataset
-    // size) × three cluster variants, exhaustive PE sweep, top-10.
+    // The paper-scale grid: all four Table-5 model families × six global
+    // batches (1536 caps at CosmoFlow's dataset size) × three cluster
+    // variants, exhaustive PE sweep, top-10.
     let batches = [128usize, 256, 512, 768, 1024, 1536];
     let constraints = Constraints {
         max_pes: 16 * 1024,
@@ -91,55 +89,50 @@ fn main() {
     );
     assert_eq!(evaluated + mem_pruned + dom_pruned, total, "kernel accounting must close");
 
-    // Winner sanity: the analytic kernel and the mechanical baseline must
-    // agree on every cell's winner before their times are compared (full
-    // equivalence is property-tested; this guards the benchmarked
-    // configuration itself).
-    let (mech_warm, _) = sweep.run_mechanical(&grid);
-    for (a, b) in warm.cells.iter().zip(&mech_warm.cells) {
-        assert_eq!(a.query, b.query);
+    // Winner sanity: every cell's winner must match a per-cell
+    // `Oracle::search` before the sweep is timed (full equivalence is
+    // property-tested; this guards the benchmarked configuration itself).
+    for cell in &warm.cells {
+        let gm = &grid.models()[cell.query.model];
+        let cluster = &grid.clusters()[cell.query.cluster];
+        let oracle =
+            Oracle::new(&gm.model, &cluster.device, cluster, gm.config_at(cell.query.batch));
         assert_eq!(
-            a.report.best().map(|c| c.strategy),
-            b.report.best().map(|c| c.strategy),
-            "kernel winner diverged from the mechanical baseline at {:?}",
-            a.query
+            cell.report.best().map(|c| c.strategy),
+            oracle.search(grid.constraints()).best().map(|c| c.strategy),
+            "grid winner diverged from the per-cell search at {:?}",
+            cell.query
         );
     }
 
     let iters = 3;
-    let analytic = best_stages(iters, || sweep.run_timed(&grid).1);
-    let mechanical = best_stages(iters, || sweep.run_mechanical(&grid).1);
-    let (t_analytic, t_mech) = (total_seconds(&analytic), total_seconds(&mechanical));
+    let stages = best_stages(iters, || sweep.run_timed(&grid).1);
+    let t_sweep = total_seconds(&stages);
     let rate = |t: f64| total as f64 / t;
 
-    let stage_row = |name: &str, a: f64, m: f64| {
-        println!("  {name:>10}: {:>8.1} ms  vs mechanical {:>8.1} ms", a * 1e3, m * 1e3);
-    };
-    println!("\nper-stage (best of {iters}, analytic vs mechanical):");
-    stage_row("supersets", analytic.supersets, mechanical.supersets);
-    stage_row("engines", analytic.engines, mechanical.engines);
-    stage_row("preps", analytic.preps, mechanical.preps);
-    stage_row("comms", analytic.comms, mechanical.comms);
-    stage_row("cells", analytic.cells, mechanical.cells);
-    stage_row("eval", analytic.eval, mechanical.eval);
-    stage_row("finish", analytic.finish, mechanical.finish);
+    println!("\nper-stage (best of {iters}):");
+    for (name, t) in [
+        ("caches", stages.caches),
+        ("supersets", stages.supersets),
+        ("engines", stages.engines),
+        ("preps", stages.preps),
+        ("comms", stages.comms),
+        ("cells", stages.cells),
+        ("eval", stages.eval),
+        ("finish", stages.finish),
+    ] {
+        println!("  {name:>10}: {:>8.1} ms", t * 1e3);
+    }
 
-    let kernel_rate = rate(analytic.eval);
-    let eval_speedup = mechanical.eval / analytic.eval;
-    let end_speedup = t_mech / t_analytic;
+    let kernel_rate = rate(stages.eval);
     println!(
-        "\nmechanical sweep : {:>8.1} ms  ({:>10.0} candidates/s end-to-end)",
-        t_mech * 1e3,
-        rate(t_mech)
+        "\nsweep            : {:>8.1} ms  ({:>10.0} candidates/s end-to-end)",
+        t_sweep * 1e3,
+        rate(t_sweep)
     );
     println!(
-        "analytic sweep   : {:>8.1} ms  ({:>10.0} candidates/s end-to-end)  {end_speedup:.1}x",
-        t_analytic * 1e3,
-        rate(t_analytic)
-    );
-    println!(
-        "kernel eval stage: {:>8.1} ms  ({:>10.0} candidates/s)  {eval_speedup:.1}x over mechanical eval",
-        analytic.eval * 1e3,
+        "kernel eval stage: {:>8.1} ms  ({:>10.0} candidates/s)",
+        stages.eval * 1e3,
         kernel_rate
     );
     println!(
@@ -155,7 +148,7 @@ fn main() {
     let mut chunk_rows = String::new();
     println!("\nchunk sweep (eval stage, best of 2):");
     for (i, &c) in chunks.iter().enumerate() {
-        let s = GridSweep::new().with_chunk(c);
+        let s = GridSweep::new().with_chunk_size(c);
         let t = best_stages(2, || s.run_timed(&grid).1);
         println!(
             "  chunk {c:>6}: eval {:>8.1} ms ({:>10.0} candidates/s)",
@@ -180,16 +173,11 @@ fn main() {
             "  \"pruned_by_memory\": {},\n",
             "  \"pruned_by_dominance\": {},\n",
             "  \"grid_baseline_candidates_per_sec\": {:.0},\n",
-            "  \"mechanical_seconds\": {:.6},\n",
-            "  \"analytic_seconds\": {:.6},\n",
-            "  \"mechanical_eval_seconds\": {:.6},\n",
+            "  \"sweep_seconds\": {:.6},\n",
             "  \"kernel_eval_seconds\": {:.6},\n",
             "  \"kernel_candidates_per_sec\": {:.0},\n",
             "  \"speedup_vs_grid_baseline\": {:.2},\n",
-            "  \"speedup_eval_vs_mechanical\": {:.2},\n",
-            "  \"speedup_end_to_end\": {:.2},\n",
-            "  \"stages_analytic\": {{\"supersets\": {:.6}, \"engines\": {:.6}, \"preps\": {:.6}, \"comms\": {:.6}, \"cells\": {:.6}, \"eval\": {:.6}, \"finish\": {:.6}}},\n",
-            "  \"stages_mechanical\": {{\"supersets\": {:.6}, \"engines\": {:.6}, \"preps\": {:.6}, \"comms\": {:.6}, \"cells\": {:.6}, \"eval\": {:.6}, \"finish\": {:.6}}},\n",
+            "  \"stages\": {{\"caches\": {:.6}, \"supersets\": {:.6}, \"engines\": {:.6}, \"preps\": {:.6}, \"comms\": {:.6}, \"cells\": {:.6}, \"eval\": {:.6}, \"finish\": {:.6}}},\n",
             "  \"chunk_sweep\": [\n{}  ]\n",
             "}}\n"
         ),
@@ -199,28 +187,18 @@ fn main() {
         mem_pruned,
         dom_pruned,
         GRID_BASELINE_CANDIDATES_PER_SEC,
-        t_mech,
-        t_analytic,
-        mechanical.eval,
-        analytic.eval,
+        t_sweep,
+        stages.eval,
         kernel_rate,
         kernel_rate / GRID_BASELINE_CANDIDATES_PER_SEC,
-        eval_speedup,
-        end_speedup,
-        analytic.supersets,
-        analytic.engines,
-        analytic.preps,
-        analytic.comms,
-        analytic.cells,
-        analytic.eval,
-        analytic.finish,
-        mechanical.supersets,
-        mechanical.engines,
-        mechanical.preps,
-        mechanical.comms,
-        mechanical.cells,
-        mechanical.eval,
-        mechanical.finish,
+        stages.caches,
+        stages.supersets,
+        stages.engines,
+        stages.preps,
+        stages.comms,
+        stages.cells,
+        stages.eval,
+        stages.finish,
         chunk_rows,
     );
     std::fs::write("BENCH_kernel.json", &json).expect("write BENCH_kernel.json");

@@ -114,13 +114,13 @@ pub fn samples_per_gpu(model_name: &str) -> usize {
     }
 }
 
-/// The shared cluster axis of the grid-scale summaries (`bench_grid_summary`
+/// The shared cluster axis of the grid-scale summaries (`bench_kernel_summary`
 /// and `bench_sim_summary`): the paper's evaluation system plus interconnect
 /// / node-density variants of it, in the spirit of SPEChpc-style studies
 /// sweeping one workload across interconnects and node counts. All three
 /// carry the same V100 device profile, so a `GridSweep` shares one prep per
 /// (model, batch) across the whole axis — and keeping the axis in one place
-/// keeps `BENCH_grid.json` and `BENCH_sim.json` comparable.
+/// keeps `BENCH_kernel.json` and `BENCH_sim.json` comparable.
 pub fn cluster_axis() -> Vec<ClusterSpec> {
     let paper = ClusterSpec::paper_system();
     let fat = ClusterSpec {

@@ -782,8 +782,8 @@ impl<'a> CostEngine<'a> {
     /// compute-only time (forward/backward + weight update), computed with
     /// the exact expressions [`CostEngine::estimate`] uses, so
     /// `lower_bound(s) ≤ estimate(s).epoch_time()` always holds (every
-    /// communication term of the cost model is non-negative). Used by the
-    /// branch-and-bound pruning in [`crate::search`].
+    /// communication term of the cost model is non-negative). The static
+    /// dominance pruning of [`crate::kernel`] rests on it.
     pub fn lower_bound(&self, strategy: Strategy) -> f64 {
         let (fb, wu) = self.compute_terms(strategy);
         fb + wu

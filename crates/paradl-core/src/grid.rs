@@ -3,9 +3,10 @@
 //!
 //! The oracle is most useful when queried many times — across models, batch
 //! sizes, clusters and PE budgets, exactly the grids the paper's tables and
-//! figures sweep. A naive sweep calls [`Oracle::search`] per cell and pays,
-//! for every cell, a full [`CostEngine`] tabulation, a candidate-space
-//! enumeration (including its serial sort) and the evaluation pass.
+//! figures sweep. A naive sweep calls
+//! [`Oracle::search`](crate::oracle::Oracle::search) per cell and pays, for
+//! every cell, a full [`CostEngine`] tabulation, a candidate-space
+//! enumeration and the evaluation pass.
 //! [`GridSweep`] answers the same grid while amortizing everything shareable:
 //!
 //! * **engines** — one [`CostEngine`] per (model, cluster) pair; the other
@@ -19,8 +20,8 @@
 //!   candidate filter of the superset (valid because every batch-dependent
 //!   enumeration bound is also checked by [`ModelLimits::is_valid`], and
 //!   validity is monotone in the batch, so each candidate resolves its
-//!   validity once at the smallest admitting batch), so the `O(n log n)`
-//!   sort+dedup runs once per model instead of once per cell,
+//!   validity once at the smallest admitting batch), so enumeration runs
+//!   once per model instead of once per cell,
 //! * **evaluation prep** — per-PE memory and the compute-only lower bound
 //!   are cluster-independent given the device profile, so one
 //!   structure-of-arrays prep pass per (model, batch, device) feeds every
@@ -29,8 +30,7 @@
 //! * **reporting** — in top-k mode only the `k` best and the per-budget
 //!   winners are reported, so they are folded incrementally (two relaxed
 //!   atomic reads for the common non-improving candidate) instead of
-//!   materializing the hundreds of thousands of costed candidates per cell
-//!   that the streaming search would collect and re-scan,
+//!   materializing the hundreds of thousands of costed candidates per cell,
 //! * **parallelism** — evaluation is split into fixed-size candidate chunks
 //!   interleaved round-robin across *all* cells and run rayon-parallel, so
 //!   one huge query (a CosmoFlow-scale exhaustive space) doesn't serialize
@@ -49,28 +49,17 @@
 //!   full-ranking mode. Which engine tables the delta path may reuse is
 //!   documented in the `engine` module (batch-invariant vs batch-dependent
 //!   — load-bearing, exactly as with [`CostEngine::rebatch`]).
-//!   [`GridSweep::run_mechanical`] keeps the pre-kernel path as the
-//!   measured baseline of `bench_kernel_summary`.
 //!
-//! Set `PARADL_GRID_TRACE=1` to print per-stage wall-clock timings of a
-//! sweep to stderr ([`GridSweep::run_timed`] returns them
-//! programmatically), and `PARADL_CHUNK` to override the evaluation chunk
-//! granularity.
+//! [`GridSweep::run_timed`] returns per-stage wall-clock timings of a sweep.
 //!
-//! The sweep is *exact*: every cell's [`SearchReport`] has the same
-//! `enumerated`/`pruned_by_memory` counts, ranking and budget winners as a
-//! per-query [`Oracle::search`] at that cell's configuration (byte-identical
-//! projections — rebatched engines are bit-equal to freshly built ones, and
-//! the search reduction is order-independent). Only the prune-accounting
-//! split may differ: the analytic kernel reports deterministic
-//! `pruned_by_dominance` counts (and zero `pruned_by_bound`), while the
-//! streaming baseline reports dynamic `pruned_by_bound` counts that already
-//! vary between two runs of the parallel search. Property-tested in
-//! `tests/proptest_grid.rs`; [`GridSweep::run_per_query`] keeps the naive
-//! sweep as the equivalence baseline and benchmark reference
-//! (`paradl-bench/benches/grid.rs`, the `bench_grid_summary` binary, and
-//! `bench_kernel_summary`, which gates the kernel's ≥ 5× candidates/sec
-//! trajectory on the same paper-scale grid).
+//! The sweep is *exact*: every cell's [`SearchReport`] equals what a
+//! per-query [`Oracle::search`](crate::oracle::Oracle::search) at that
+//! cell's configuration returns — byte-identical projections, since
+//! rebatched engines are bit-equal to freshly built ones and the kernel's
+//! reduction is order-independent — except for `pruned_by_dominance`: a
+//! cell cuts on exact epoch times reconstructed from its communication
+//! columns, which prunes at least as many candidates as the per-query
+//! lower-bound cut. Property-tested in `tests/proptest_grid.rs`.
 
 use crate::cluster::{ClusterCache, ClusterSpec};
 use crate::config::TrainingConfig;
@@ -78,16 +67,15 @@ use crate::engine::CommCoef;
 use crate::engine::{
     cluster_fingerprint, engine_fingerprint, CostEngine, EngineCache, ModelLimits,
 };
-use crate::kernel::{chunk_from_env, eval_chunk_kernel, select_seeds, KernelColumns, StaticBounds};
+use crate::kernel::{eval_chunk_kernel, select_seeds, KernelColumns, StaticBounds, DEFAULT_CHUNK};
 use crate::model::Model;
-use crate::oracle::{Constraints, Oracle, Projection};
+use crate::oracle::Constraints;
 use crate::search::{
-    budget_index, candidate_cmp, evaluate_pruned_with_bound, finish_report, finish_report_topk,
-    RankedCandidate, SearchReport, SearchShared, StrategySpace,
+    budget_index, finish_report, finish_report_topk, RankedCandidate, SearchReport, SearchShared,
+    StrategySpace,
 };
 use crate::strategy::Strategy;
 use rayon::prelude::*;
-use std::cell::RefCell;
 use std::sync::{Arc, Mutex};
 
 /// One model entry of a [`QueryGrid`]: the model plus its base training
@@ -202,18 +190,18 @@ impl QueryGrid {
 }
 
 /// One evaluated grid cell.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GridCell {
     /// The cell's coordinates.
     pub query: GridQuery,
     /// The cell's search result — identical to what a per-query
-    /// [`Oracle::search`] at this configuration returns.
+    /// [`Oracle::search`](crate::oracle::Oracle::search) at this configuration returns.
     pub report: SearchReport,
 }
 
 /// The result of a grid sweep: one [`GridCell`] per query, in
 /// [`QueryGrid::queries`] order.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GridReport {
     /// Evaluated cells (model-major, then batch, then cluster).
     pub cells: Vec<GridCell>,
@@ -268,48 +256,23 @@ struct PreppedSpace {
     /// Compute-only lower-bound column, aligned with `cands`.
     lbs: Vec<f64>,
     /// PE-budget slot column (`budget_index` of each candidate, ≤ 64 so it
-    /// fits a byte), aligned with `cands`. Analytic mode only.
+    /// fits a byte), aligned with `cands`.
     slots: Vec<u8>,
     /// Seed-panel indices into `cands` (per-(family, slot) lower-bound
     /// minima; device-dependent but cluster-independent, so selected once
-    /// per prep and costed per cell). Analytic mode only.
+    /// per prep and costed per cell).
     seeds: Vec<usize>,
     /// Superset index of each feasible candidate (`cands[i]` is
     /// `superset[sup[i]]`), linking the prep rows to the per-(model,
-    /// cluster) communication-coefficient columns. Analytic mode only.
+    /// cluster) communication-coefficient columns.
     sup: Vec<u32>,
     /// Strategy-family byte per candidate ([`crate::strategy::StrategyKind`]
     /// as `u8`) — the kernel's communication dispatch, so the hot loop
-    /// never decodes the strategy column. Analytic mode only.
+    /// never decodes the strategy column.
     fams: Vec<u8>,
 }
 
 impl PreppedSpace {
-    fn empty_per_batch(batches: &[usize]) -> Vec<PreppedSpace> {
-        batches
-            .iter()
-            .map(|_| PreppedSpace {
-                enumerated: 0,
-                mem_pruned: 0,
-                cands: Vec::new(),
-                mems: Vec::new(),
-                lbs: Vec::new(),
-                slots: Vec::new(),
-                seeds: Vec::new(),
-                sup: Vec::new(),
-                fams: Vec::new(),
-            })
-            .collect()
-    }
-
-    /// Batch indices in ascending batch order (validity at one batch
-    /// implies validity at every larger one).
-    fn batch_order(batches: &[usize]) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..batches.len()).collect();
-        order.sort_by_key(|&i| batches[i]);
-        order
-    }
-
     /// Builds the prep tables of one (model, device) for *every* batch of
     /// the grid in a single superset pass: candidate validity is monotone in
     /// the batch (every batch-dependent bound is a `≤ batch` comparison), so
@@ -317,7 +280,7 @@ impl PreppedSpace {
     /// batch instead of being re-checked per batch. `base` is any engine of
     /// the (model, device) pair; per-batch siblings are rebatched from it.
     ///
-    /// The analytic prep: memory and the lower bound come from the fused
+    /// Memory and the lower bound come from the fused
     /// [`CostEngine::prep_terms`] pass, the budget-slot and seed-panel
     /// columns for the kernel are tabulated alongside, and — for the
     /// non-pipeline families, whose per-PE memory is provably nondecreasing
@@ -333,8 +296,24 @@ impl PreppedSpace {
         constraints: &Constraints,
     ) -> Vec<PreppedSpace> {
         let engines: Vec<CostEngine<'_>> = batches.iter().map(|&b| base.rebatched(b)).collect();
-        let mut preps = PreppedSpace::empty_per_batch(batches);
-        let order = PreppedSpace::batch_order(batches);
+        let mut preps: Vec<PreppedSpace> = batches
+            .iter()
+            .map(|_| PreppedSpace {
+                enumerated: 0,
+                mem_pruned: 0,
+                cands: Vec::new(),
+                mems: Vec::new(),
+                lbs: Vec::new(),
+                slots: Vec::new(),
+                seeds: Vec::new(),
+                sup: Vec::new(),
+                fams: Vec::new(),
+            })
+            .collect();
+        // Ascending batch order: validity at one batch implies validity at
+        // every larger one.
+        let mut order: Vec<usize> = (0..batches.len()).collect();
+        order.sort_by_key(|&i| batches[i]);
         for (si, &strategy) in superset.iter().enumerate() {
             let mut j = 0;
             while j < order.len() && !limits.is_valid(strategy, batches[order[j]]) {
@@ -373,44 +352,6 @@ impl PreppedSpace {
         }
         preps
     }
-
-    /// The pre-kernel (mechanical) prep: separate `memory_per_pe` and
-    /// `lower_bound` calls per candidate, no slot/seed columns, no
-    /// early-break. Kept verbatim as the baseline side of
-    /// [`GridSweep::run_mechanical`] so the kernel's speedup is measured
-    /// against the real predecessor, not a strawman.
-    fn build_all_mechanical(
-        superset: &[Strategy],
-        limits: &ModelLimits,
-        base: &CostEngine<'_>,
-        batches: &[usize],
-        constraints: &Constraints,
-    ) -> Vec<PreppedSpace> {
-        let engines: Vec<CostEngine<'_>> = batches.iter().map(|&b| base.rebatched(b)).collect();
-        let mut preps = PreppedSpace::empty_per_batch(batches);
-        let order = PreppedSpace::batch_order(batches);
-        for &strategy in superset {
-            let mut j = 0;
-            while j < order.len() && !limits.is_valid(strategy, batches[order[j]]) {
-                j += 1;
-            }
-            for &bi in &order[j..] {
-                let prep = &mut preps[bi];
-                prep.enumerated += 1;
-                let mem = engines[bi].memory_per_pe(strategy);
-                if mem > constraints.memory_capacity_bytes {
-                    continue;
-                }
-                prep.cands.push(strategy);
-                prep.mems.push(mem);
-                prep.lbs.push(engines[bi].lower_bound(strategy));
-            }
-        }
-        for prep in &mut preps {
-            prep.mem_pruned = prep.enumerated - prep.cands.len();
-        }
-        preps
-    }
 }
 
 /// Per-(model, cluster) batch-invariant communication columns, aligned
@@ -425,94 +366,6 @@ struct CommColumns {
     coef: Vec<CommCoef>,
 }
 
-/// Per-worker reusable survivor buffer, retaining its capacity across
-/// chunks so the evaluation hot path never allocates.
-#[derive(Default)]
-struct EvalScratch {
-    found: Vec<RankedCandidate>,
-}
-
-thread_local! {
-    static SCRATCH: RefCell<EvalScratch> = RefCell::new(EvalScratch::default());
-}
-
-/// Evaluates one candidate chunk of one cell through its engine. The
-/// chunk's structure-of-arrays columns come from the cell's
-/// [`PreppedSpace`], so per-PE memory and the compute lower bound are read
-/// instead of recomputed. Costing goes through the exact per-candidate
-/// logic of the streaming search, so chunked and per-query evaluation
-/// agree; in top-k mode the per-budget winners are folded incrementally
-/// instead of materializing every costed candidate.
-fn eval_chunk(cell: &CellCtx<'_, '_>, lo: usize, hi: usize, constraints: &Constraints) {
-    let (cands, mems, lbs) =
-        (&cell.prep.cands[lo..hi], &cell.prep.mems[lo..hi], &cell.prep.lbs[lo..hi]);
-    let shared = &cell.shared;
-    if constraints.top_k.is_some() {
-        // Top-k reporting only needs the k best (tracked inside `shared`)
-        // and the per-budget winners — fold both incrementally instead of
-        // materializing every costed candidate. The typical candidate
-        // improves neither, so it exits after two relaxed atomic reads
-        // without assembling a `RankedCandidate`; the shared-state
-        // transitions are exactly those of the streaming search's
-        // `observe` (skipping only its no-op updates), so the final
-        // report is identical.
-        for (i, &strategy) in cands.iter().enumerate() {
-            if shared.should_prune(lbs[i], &strategy) {
-                shared.count_bound_pruned();
-                continue;
-            }
-            let cost = cell.engine.estimate_with_memory(strategy, mems[i]);
-            let time = cost.epoch_time();
-            let idx = budget_index(strategy.total_pes());
-            let improves_budget = time <= shared.budget_best_time(idx);
-            if !improves_budget && time > shared.threshold_time() {
-                continue;
-            }
-            let c = RankedCandidate {
-                strategy,
-                projection: Projection { cost, fits_memory: true, within_scaling_limit: true },
-            };
-            if improves_budget {
-                shared.record_budget(idx, time);
-                let mut slot = cell.winners[idx].lock().expect("winner slot poisoned");
-                let better = slot
-                    .map(|cur| candidate_cmp(&c, &cur) == std::cmp::Ordering::Less)
-                    .unwrap_or(true);
-                if better {
-                    *slot = Some(c);
-                }
-            }
-            shared.offer_topk(&c);
-        }
-        return;
-    }
-    // Full-ranking mode: every costed candidate is a survivor; batch them
-    // through the per-worker scratch to keep lock traffic at one append per
-    // chunk.
-    SCRATCH.with(|tls| {
-        let scratch = &mut *tls.borrow_mut();
-        scratch.found.clear();
-        for (i, &strategy) in cands.iter().enumerate() {
-            if let Some(c) = evaluate_pruned_with_bound(
-                &cell.engine,
-                strategy,
-                mems[i],
-                lbs[i],
-                constraints,
-                shared,
-            ) {
-                scratch.found.push(c);
-            }
-        }
-        if !scratch.found.is_empty() {
-            cell.found
-                .lock()
-                .expect("grid survivor accumulator poisoned")
-                .append(&mut scratch.found);
-        }
-    });
-}
-
 /// One in-flight cell of a sweep.
 struct CellCtx<'a, 'w> {
     query: GridQuery,
@@ -520,31 +373,21 @@ struct CellCtx<'a, 'w> {
     prep: &'w PreppedSpace,
     shared: SearchShared,
     /// Static dominance-prune bounds derived from the prep's seed panel
-    /// through this cell's engine (analytic mode only).
-    bounds: Option<StaticBounds>,
+    /// through this cell's engine.
+    bounds: StaticBounds,
     /// The (model, cluster) pair's batch-invariant communication columns,
-    /// superset-aligned (empty in mechanical mode).
-    comm: Option<&'w CommColumns>,
+    /// superset-aligned.
+    comm: &'w CommColumns,
     /// Survivor accumulator (full-ranking mode, `top_k == None`).
     found: Mutex<Vec<RankedCandidate>>,
     /// Per-budget-slot running winners (top-k mode).
     winners: Vec<Mutex<Option<RankedCandidate>>>,
 }
 
-/// Which candidate-evaluation path a sweep runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum EvalMode {
-    /// The analytic kernel ([`crate::kernel`]): static dominance bounds,
-    /// branchless mask filtering, incremental cost deltas.
-    Analytic,
-    /// The pre-kernel path: one full estimate per candidate with dynamic
-    /// branch-and-bound checks. Kept as the measured baseline.
-    Mechanical,
-}
-
 /// Per-stage wall-clock seconds of one [`GridSweep::run_timed`] sweep,
-/// reported by `bench_kernel_summary` so the kernel's per-stage trajectory
-/// (prep, evaluation) is visible next to the end-to-end number.
+/// reported by `bench_kernel_summary` and the benchmark harness so the
+/// per-stage split (prep, communication columns, evaluation) is visible
+/// next to the end-to-end number.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct GridStageTimings {
     /// Cluster topology-cache derivation.
@@ -573,8 +416,6 @@ pub struct GridStageTimings {
 pub struct GridSweep {
     /// Candidates per work unit of the interleaved evaluation.
     chunk: usize,
-    /// Evaluation path (analytic kernel by default).
-    mode: EvalMode,
 }
 
 impl Default for GridSweep {
@@ -585,12 +426,11 @@ impl Default for GridSweep {
 
 impl GridSweep {
     /// A sweep through the analytic kernel with the default work-splitting
-    /// granularity ([`PARADL_CHUNK`-overridable](crate::kernel); the
-    /// default is picked by the chunk sweep in `BENCH_kernel.json` — small
+    /// granularity (picked by the chunk sweep in `BENCH_kernel.json` — small
     /// enough that a paper-scale query splits into many units, large
     /// enough that chunk dispatch and mask-pass overhead stay negligible).
     pub fn new() -> Self {
-        GridSweep { chunk: chunk_from_env(), mode: EvalMode::Analytic }
+        GridSweep { chunk: DEFAULT_CHUNK }
     }
 
     /// Overrides the candidates-per-chunk granularity (clamped to ≥ 1).
@@ -599,36 +439,20 @@ impl GridSweep {
         self
     }
 
-    /// Alias for [`GridSweep::with_chunk_size`].
-    pub fn with_chunk(self, chunk: usize) -> Self {
-        self.with_chunk_size(chunk)
-    }
-
     /// Evaluates every cell of `grid`, returning one [`SearchReport`] per
     /// cell in [`QueryGrid::queries`] order — each identical to what
-    /// [`Oracle::search`] would return for that cell (modulo the
-    /// non-deterministic `pruned_by_bound` counter).
+    /// [`Oracle::search`](crate::oracle::Oracle::search) would return for
+    /// that cell, apart from the `pruned_by_dominance` count (see the
+    /// [module docs](crate::grid)).
     pub fn run(&self, grid: &QueryGrid) -> GridReport {
         self.run_with(grid, None).0
     }
 
     /// Like [`GridSweep::run`], but also returns per-stage wall-clock
-    /// timings (used by `bench_kernel_summary` to report the prep/eval
-    /// split of the kernel trajectory).
+    /// timings (used by `bench_kernel_summary` and the benchmark harness to
+    /// report the per-stage split).
     pub fn run_timed(&self, grid: &QueryGrid) -> (GridReport, GridStageTimings) {
         self.run_with(grid, None)
-    }
-
-    /// Runs the sweep through the pre-kernel (mechanical) evaluation path:
-    /// reference enumeration, separate memory/bound prep calls, and one
-    /// full cost estimate per surviving candidate with dynamic
-    /// branch-and-bound checks. Produces the same reports as
-    /// [`GridSweep::run`] (modulo the bound/dominance counters — the
-    /// mechanical path counts dynamic bound prunes where the kernel counts
-    /// static dominance prunes); kept as the measured baseline the
-    /// analytic kernel's speedup gate compares against.
-    pub fn run_mechanical(&self, grid: &QueryGrid) -> (GridReport, GridStageTimings) {
-        GridSweep { chunk: self.chunk, mode: EvalMode::Mechanical }.run_with(grid, None)
     }
 
     /// Like [`GridSweep::run`], but sourcing engine cores and cluster caches
@@ -652,17 +476,12 @@ impl GridSweep {
         if queries.is_empty() {
             return (GridReport { cells: Vec::new() }, timings);
         }
-        let trace = std::env::var_os("PARADL_GRID_TRACE").is_some();
         let mut last = std::time::Instant::now();
-        let mut stage = move |name: &str| -> f64 {
+        let mut stage = move || -> f64 {
             let elapsed = last.elapsed().as_secs_f64();
             last = std::time::Instant::now();
-            if trace {
-                eprintln!("[grid] {name:>10}: {:>8.1} ms", elapsed * 1e3);
-            }
             elapsed
         };
-        let analytic = self.mode == EvalMode::Analytic;
         let n_clusters = grid.clusters.len();
         let max_batch = *grid.batches.iter().max().expect("non-empty batch axis");
         let constraints = &grid.constraints;
@@ -679,28 +498,19 @@ impl GridSweep {
             })
             .collect();
 
-        timings.caches = stage("caches");
+        timings.caches = stage();
         // Per-model scaling limits (cheap, needed by both stages below).
         let limits: Vec<ModelLimits> =
             grid.models.iter().map(|gm| ModelLimits::of(&gm.model)).collect();
 
         // One candidate superset per model, enumerated at the largest batch;
-        // models enumerate in parallel (the sort inside is each model's
-        // serial bottleneck in the per-query path). The mechanical baseline
-        // keeps the pre-kernel sort-based enumeration.
+        // models enumerate in parallel.
         let supersets: Vec<Vec<Strategy>> = (0..grid.models.len())
             .into_par_iter()
-            .map(|m| {
-                if analytic {
-                    StrategySpace::with_limits(max_batch, constraints, &limits[m]).into_vec()
-                } else {
-                    StrategySpace::with_limits_reference(max_batch, constraints, &limits[m])
-                        .into_vec()
-                }
-            })
+            .map(|m| StrategySpace::with_limits(max_batch, constraints, &limits[m]).into_vec())
             .collect();
 
-        timings.supersets = stage("supersets");
+        timings.supersets = stage();
         // One engine per (model, cluster) pair, sharing the cluster caches;
         // every batch of the grid reuses the pair's batch-invariant core.
         let engines: Vec<CostEngine<'_>> = (0..grid.models.len() * n_clusters)
@@ -741,7 +551,7 @@ impl GridSweep {
             })
             .collect();
 
-        timings.engines = stage("engines");
+        timings.engines = stage();
         // Group clusters by device profile: per-PE memory and the compute
         // lower bound are cluster-independent given the device, so one prep
         // pass per (model, batch, device) serves every cluster in the group.
@@ -765,12 +575,7 @@ impl GridSweep {
             .into_par_iter()
             .map(|i| {
                 let (m, g) = (i / n_groups, i % n_groups);
-                let build = if analytic {
-                    PreppedSpace::build_all
-                } else {
-                    PreppedSpace::build_all_mechanical
-                };
-                build(
+                PreppedSpace::build_all(
                     &supersets[m],
                     &limits[m],
                     &engines[m * n_clusters + group_reps[g]],
@@ -780,7 +585,7 @@ impl GridSweep {
             })
             .collect();
 
-        timings.preps = stage("preps");
+        timings.preps = stage();
         // Per-(model, cluster) communication columns, aligned with the
         // model's candidate superset: the batch-invariant parts of every
         // candidate's communication time (collective times, link
@@ -788,46 +593,40 @@ impl GridSweep {
         // per pair instead of being re-derived in every batch's cell.
         // Rows no batch's prep references (invalid or memory-infeasible at
         // every batch) are skipped.
-        let coefs: Vec<CommColumns> = if analytic {
-            let used: Vec<Vec<bool>> = (0..grid.models.len() * n_groups)
-                .map(|i| {
-                    let m = i / n_groups;
-                    let mut used = vec![false; supersets[m].len()];
-                    for prep in &preps[i] {
-                        for &si in &prep.sup {
-                            used[si as usize] = true;
-                        }
+        let used: Vec<Vec<bool>> = (0..grid.models.len() * n_groups)
+            .map(|i| {
+                let m = i / n_groups;
+                let mut used = vec![false; supersets[m].len()];
+                for prep in &preps[i] {
+                    for &si in &prep.sup {
+                        used[si as usize] = true;
                     }
-                    used
-                })
-                .collect();
-            (0..grid.models.len() * n_clusters)
-                .into_par_iter()
-                .map(|i| {
-                    let (m, c) = (i / n_clusters, i % n_clusters);
-                    let engine = &engines[i];
-                    let used = &used[m * n_groups + group_of[c]];
-                    let coef = supersets[m]
-                        .iter()
-                        .zip(used)
-                        .map(|(&s, &u)| if u { engine.comm_prep(s) } else { CommCoef::default() })
-                        .collect();
-                    CommColumns { coef }
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
+                }
+                used
+            })
+            .collect();
+        let coefs: Vec<CommColumns> = (0..grid.models.len() * n_clusters)
+            .into_par_iter()
+            .map(|i| {
+                let (m, c) = (i / n_clusters, i % n_clusters);
+                let engine = &engines[i];
+                let used = &used[m * n_groups + group_of[c]];
+                let coef = supersets[m]
+                    .iter()
+                    .zip(used)
+                    .map(|(&s, &u)| if u { engine.comm_prep(s) } else { CommCoef::default() })
+                    .collect();
+                CommColumns { coef }
+            })
+            .collect();
 
-        timings.comms = stage("comms");
+        timings.comms = stage();
         // Cell contexts: a rebatched engine sibling plus the shared search
         // state each cell's chunks reduce into. The memory-pruned count is
-        // seeded from the prep (the per-query search counts it before bound
-        // pruning, so the accounting matches); in analytic mode the cell's
-        // static dominance bounds are derived here, costing the prep's seed
-        // panel through the cell's own engine (communication is cluster-
-        // dependent, so seed *times* are per cell even though seed
-        // *selection* is per prep).
+        // seeded from the prep, and the cell's static dominance bounds are
+        // derived here, costing the prep's seed panel through the cell's own
+        // engine (communication is cluster-dependent, so seed *times* are
+        // per cell even though seed *selection* is per prep).
         let cells: Vec<CellCtx<'_, '_>> = queries
             .iter()
             .map(|&query| {
@@ -838,17 +637,15 @@ impl GridSweep {
                 let winners = (0..shared.num_budget_slots()).map(|_| Mutex::new(None)).collect();
                 let engine =
                     engines[query.model * n_clusters + query.cluster].rebatched(query.batch);
-                let bounds = analytic.then(|| {
-                    StaticBounds::from_seeds(
-                        &engine,
-                        &prep.cands,
-                        &prep.lbs,
-                        &prep.slots,
-                        &prep.seeds,
-                        &shared,
-                    )
-                });
-                let comm = analytic.then(|| &coefs[query.model * n_clusters + query.cluster]);
+                let bounds = StaticBounds::from_seeds(
+                    &engine,
+                    &prep.cands,
+                    &prep.lbs,
+                    &prep.slots,
+                    &prep.seeds,
+                    &shared,
+                );
+                let comm = &coefs[query.model * n_clusters + query.cluster];
                 CellCtx {
                     query,
                     engine,
@@ -862,7 +659,7 @@ impl GridSweep {
             })
             .collect();
 
-        timings.cells = stage("cells");
+        timings.cells = stage();
         // Candidate-level work splitting: fixed-size chunks, interleaved
         // round-robin across cells so a huge cell spreads over all workers
         // instead of pinning one. Round-robin also runs every cell's
@@ -890,35 +687,29 @@ impl GridSweep {
                 let cell = &cells[ci];
                 let lo = round * chunk;
                 let hi = (lo + chunk).min(cell.prep.cands.len());
-                if analytic {
-                    let bounds = cell.bounds.as_ref().expect("analytic cells carry bounds");
-                    let comm = cell.comm.expect("analytic cells carry comm columns");
-                    eval_chunk_kernel(
-                        &cell.engine,
-                        KernelColumns {
-                            cands: &cell.prep.cands,
-                            mems: &cell.prep.mems,
-                            lbs: &cell.prep.lbs,
-                            slots: &cell.prep.slots,
-                            sup: &cell.prep.sup,
-                            fams: &cell.prep.fams,
-                            coef: &comm.coef,
-                        },
-                        bounds,
-                        lo,
-                        hi,
-                        constraints,
-                        &cell.shared,
-                        &cell.winners,
-                        &cell.found,
-                    );
-                } else {
-                    eval_chunk(cell, lo, hi, constraints);
-                }
+                eval_chunk_kernel(
+                    &cell.engine,
+                    KernelColumns {
+                        cands: &cell.prep.cands,
+                        mems: &cell.prep.mems,
+                        lbs: &cell.prep.lbs,
+                        slots: &cell.prep.slots,
+                        sup: &cell.prep.sup,
+                        fams: &cell.prep.fams,
+                        coef: &cell.comm.coef,
+                    },
+                    &cell.bounds,
+                    lo,
+                    hi,
+                    constraints,
+                    &cell.shared,
+                    &cell.winners,
+                    &cell.found,
+                );
             })
             .collect();
 
-        timings.eval = stage("eval");
+        timings.eval = stage();
         // Per-cell final ranking, in parallel across cells.
         let cells: Vec<GridCell> = cells
             .into_par_iter()
@@ -937,31 +728,8 @@ impl GridSweep {
                 GridCell { query: cell.query, report }
             })
             .collect();
-        timings.finish = stage("finish");
+        timings.finish = stage();
         (GridReport { cells }, timings)
-    }
-
-    /// The naive sweep: one streaming [`Oracle::search_streaming`] per
-    /// cell, each building its own engine and enumerating its own candidate
-    /// space. Kept as the equivalence baseline ([`GridSweep::run`] must
-    /// reproduce it cell for cell) and as the benchmark reference the ≥ 5×
-    /// amortization target is measured against — pinned to the streaming
-    /// (pre-kernel) evaluation so the baseline does not silently inherit
-    /// the analytic kernel's speedup through [`Oracle::search`].
-    pub fn run_per_query(&self, grid: &QueryGrid) -> GridReport {
-        let cells = grid
-            .queries()
-            .into_iter()
-            .map(|query| {
-                let gm = &grid.models[query.model];
-                let cluster = &grid.clusters[query.cluster];
-                let oracle =
-                    Oracle::new(&gm.model, &cluster.device, cluster, gm.config_at(query.batch));
-                let engine = oracle.engine();
-                GridCell { query, report: oracle.search_streaming(&engine, &grid.constraints) }
-            })
-            .collect();
-        GridReport { cells }
     }
 }
 
@@ -995,19 +763,28 @@ mod tests {
             .with_cluster(ClusterSpec::workstation(8))
     }
 
-    fn assert_reports_equal(a: &SearchReport, b: &SearchReport, what: &str) {
-        assert_eq!(a.enumerated, b.enumerated, "{what}: enumerated");
-        assert_eq!(a.pruned_by_memory, b.pruned_by_memory, "{what}: memory-pruned");
-        assert_eq!(a.ranked.len(), b.ranked.len(), "{what}: ranked length");
-        for (x, y) in a.ranked.iter().zip(&b.ranked) {
-            assert_eq!(x.strategy, y.strategy, "{what}: ranked strategy");
-            assert_eq!(x.projection, y.projection, "{what}: ranked projection");
-        }
-        assert_eq!(a.best_per_budget.len(), b.best_per_budget.len(), "{what}: budgets");
-        for (x, y) in a.best_per_budget.iter().zip(&b.best_per_budget) {
-            assert_eq!(x.max_pes, y.max_pes, "{what}: budget");
-            assert_eq!(x.candidate.strategy, y.candidate.strategy, "{what}: budget winner");
-            assert_eq!(x.candidate.projection, y.candidate.projection, "{what}: budget proj");
+    /// Asserts that every cell of `report` equals a per-cell
+    /// [`Oracle::search`](crate::oracle::Oracle::search) on the whole
+    /// report. The grid cuts on exact epoch times where a single query cuts
+    /// on lower bounds, so only the dominance count may differ, and never
+    /// downwards.
+    fn assert_cells_match_per_query_search(grid: &QueryGrid, report: &GridReport) {
+        assert_eq!(report.len(), grid.num_queries());
+        for (cell, query) in report.cells.iter().zip(grid.queries()) {
+            assert_eq!(cell.query, query);
+            let gm = &grid.models()[query.model];
+            let cluster = &grid.clusters()[query.cluster];
+            let config = gm.config_at(query.batch);
+            let alone = crate::oracle::Oracle::new(&gm.model, &cluster.device, cluster, config)
+                .search(grid.constraints());
+            assert_eq!(cell.report.pruned_by_bound, 0, "{query:?}");
+            assert_eq!(alone.pruned_by_bound, 0, "{query:?}");
+            assert!(cell.report.pruned_by_dominance >= alone.pruned_by_dominance, "{query:?}");
+            let normalised = SearchReport {
+                pruned_by_dominance: alone.pruned_by_dominance,
+                ..cell.report.clone()
+            };
+            assert_eq!(normalised, alone, "{query:?}");
         }
     }
 
@@ -1034,17 +811,8 @@ mod tests {
     #[test]
     fn sweep_matches_per_query_search() {
         let grid = small_grid(Constraints { max_pes: 256, ..Default::default() });
-        let sweep = GridSweep::new().with_chunk_size(64); // force many chunks
-        let fast = sweep.run(&grid);
-        let slow = sweep.run_per_query(&grid);
-        let (mech, _) = sweep.run_mechanical(&grid);
-        assert_eq!(fast.len(), grid.num_queries());
-        assert_eq!(fast.len(), slow.len());
-        for ((a, b), m) in fast.cells.iter().zip(&slow.cells).zip(&mech.cells) {
-            assert_eq!(a.query, b.query);
-            assert_reports_equal(&a.report, &b.report, &format!("{:?}", a.query));
-            assert_reports_equal(&a.report, &m.report, &format!("mech {:?}", a.query));
-        }
+        let fast = GridSweep::new().with_chunk_size(64).run(&grid); // force many chunks
+        assert_cells_match_per_query_search(&grid, &fast);
     }
 
     #[test]
@@ -1055,32 +823,31 @@ mod tests {
             sweep: PeSweep::Exhaustive,
             ..Default::default()
         });
-        let sweep = GridSweep::new().with_chunk_size(128);
-        let fast = sweep.run(&grid);
-        let slow = sweep.run_per_query(&grid);
-        let (mech, _) = sweep.run_mechanical(&grid);
-        for ((a, b), m) in fast.cells.iter().zip(&slow.cells).zip(&mech.cells) {
-            assert_eq!(a.query, b.query);
-            assert_reports_equal(&a.report, &b.report, &format!("{:?}", a.query));
-            assert_reports_equal(&a.report, &m.report, &format!("mech {:?}", a.query));
-        }
-        // The kernel's static prune accounting is deterministic: two runs
-        // report the same dominance count, and the dynamic bound counter
-        // stays zero on the analytic path.
-        let again = sweep.run(&grid);
-        for (a, b) in fast.cells.iter().zip(&again.cells) {
-            assert_eq!(a.report.pruned_by_bound, 0, "analytic path counts no dynamic prunes");
+        let fast = GridSweep::new().with_chunk_size(128).run(&grid);
+        assert_cells_match_per_query_search(&grid, &fast);
+        for cell in &fast.cells {
             assert_eq!(
-                a.report.pruned_by_dominance, b.report.pruned_by_dominance,
-                "dominance count must be deterministic at {:?}",
-                a.query
-            );
-            assert_eq!(
-                a.report.evaluated() + a.report.pruned(),
-                a.report.enumerated,
+                cell.report.evaluated() + cell.report.pruned(),
+                cell.report.enumerated,
                 "kernel accounting must add up at {:?}",
-                a.query
+                cell.query
             );
+        }
+    }
+
+    #[test]
+    fn sweep_reports_are_identical_across_chunk_sizes_and_runs() {
+        for sweep in [PeSweep::PowersOfTwo, PeSweep::Exhaustive] {
+            for top_k in [None, Some(1), Some(7)] {
+                let grid =
+                    small_grid(Constraints { max_pes: 256, top_k, sweep, ..Default::default() });
+                let base = GridSweep::new().run(&grid);
+                assert_eq!(GridSweep::new().run(&grid), base, "{sweep:?}, top_k {top_k:?}: rerun");
+                for chunk in [1usize, 7, 64] {
+                    let chunked = GridSweep::new().with_chunk_size(chunk).run(&grid);
+                    assert_eq!(chunked, base, "{sweep:?}, top_k {top_k:?}, chunk {chunk}");
+                }
+            }
         }
     }
 
@@ -1091,10 +858,7 @@ mod tests {
         let cache = EngineCache::new(16);
         let plain = sweep.run(&grid);
         let cached = sweep.run_cached(&grid, &cache);
-        for (a, b) in plain.cells.iter().zip(&cached.cells) {
-            assert_eq!(a.query, b.query);
-            assert_reports_equal(&a.report, &b.report, &format!("cold {:?}", a.query));
-        }
+        assert_eq!(cached, plain, "cold cached sweep");
         let first = cache.stats();
         assert!(first.misses > 0, "cold sweep must populate the cache");
         // A second sweep over the same grid hits for every engine and
@@ -1103,9 +867,7 @@ mod tests {
         let second = cache.stats();
         assert_eq!(second.misses, first.misses, "warm sweep must not rebuild");
         assert!(second.hits > first.hits, "warm sweep must hit");
-        for (a, b) in plain.cells.iter().zip(&warm.cells) {
-            assert_reports_equal(&a.report, &b.report, &format!("warm {:?}", a.query));
-        }
+        assert_eq!(warm, plain, "warm cached sweep");
     }
 
     #[test]

@@ -2,13 +2,12 @@
 //! branchless feasibility masking and incremental cost deltas over the
 //! structure-of-arrays prep columns.
 //!
-//! This is the hot loop behind every ranked query — [`crate::search`]'s
-//! `Oracle::search`, the chunked cells of [`crate::grid::GridSweep`], and
-//! (through the daemon's coalesced grids) every `paradl-serve` answer. It
-//! replaces the *mechanical* evaluation — one full
-//! [`CostEngine::estimate_with_memory`] walk per candidate, with dynamic
-//! branch-and-bound checks branching per candidate — with an *analytic*
-//! pipeline in three layers:
+//! This is the one evaluation path behind every ranked query —
+//! [`crate::search`]'s `Oracle::search` (through [`kernel_search`]), the
+//! chunked cells of [`crate::grid::GridSweep`], and (through the daemon's
+//! coalesced grids) every `paradl-serve` answer. Instead of one full
+//! [`CostEngine::estimate_with_memory`] walk per candidate it runs an
+//! *analytic* pipeline in three layers:
 //!
 //! 1. **Static dominance bounds** ([`StaticBounds`]). Before any candidate
 //!    is costed, a tiny seed panel — the per-(strategy family, PE-budget
@@ -21,8 +20,7 @@
 //!    R[slot])` provably ends up outside both the top-k and every budget
 //!    slot it could win. The bound is fixed before the scan starts, so the
 //!    pruned *set* — and the `pruned_by_dominance` counter — is
-//!    deterministic, unlike the dynamic `pruned_by_bound` counter of the
-//!    streaming search.
+//!    deterministic.
 //! 2. **Branchless fused evaluation** ([`eval_chunk_kernel`]). Candidates
 //!    arrive in sorted-superset order (family-major, so the per-family
 //!    coefficient dispatch is branch-predicted within runs, and equal
@@ -43,15 +41,17 @@
 //!    leaves bit-identical (see the `engine` module docs for which tables
 //!    the delta path may reuse) instead of recomputing them.
 //!
-//! The kernel is *exact*: ranked output, budget winners and the
-//! `enumerated`/`pruned_by_memory` accounting are identical to
-//! `Oracle::search_streaming` (property-tested in
-//! `tests/proptest_search.rs` and `tests/proptest_grid.rs`); static
-//! pruning is sound because every pruned candidate is strictly dominated
-//! by a surviving one at every admissible PE budget. The chunk granularity
-//! is tunable through [`GridSweep::with_chunk`](crate::grid::GridSweep)
-//! and the `PARADL_CHUNK` environment variable; the default is picked by
-//! the chunk sweep recorded in `BENCH_kernel.json`.
+//! The kernel is *exact*: a top-k report is the prefix of the full ranking
+//! with the same budget winners, the full ranking agrees with
+//! `Oracle::search_reference` (the per-layer reference walk) to 1e-9
+//! relative, and a grid cell's report equals the same query answered alone
+//! apart from the dominance-prune count (tested in `search.rs`, `grid.rs`,
+//! `tests/proptest_search.rs` and `tests/proptest_grid.rs`). Static pruning
+//! is sound because every pruned candidate is strictly dominated by a
+//! surviving one at every admissible PE budget. The chunk granularity is
+//! [`DEFAULT_CHUNK`], picked by the chunk sweep recorded in
+//! `BENCH_kernel.json`; tests force other sizes through
+//! [`GridSweep::with_chunk_size`](crate::grid::GridSweep).
 
 use crate::cost::CostEstimate;
 use crate::engine::{CommCoef, CostEngine};
@@ -71,16 +71,6 @@ use std::sync::Mutex;
 /// cache. Chosen by the chunk sweep in `bench_kernel_summary` (recorded in
 /// `BENCH_kernel.json`).
 pub(crate) const DEFAULT_CHUNK: usize = 8192;
-
-/// The evaluation chunk size: `PARADL_CHUNK` when set to a positive
-/// integer, [`DEFAULT_CHUNK`] otherwise.
-pub(crate) fn chunk_from_env() -> usize {
-    std::env::var("PARADL_CHUNK")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&c| c > 0)
-        .unwrap_or(DEFAULT_CHUNK)
-}
 
 /// Number of strategy families distinguished by the seed panel — the first
 /// component of [`strategy_sort_key`] (Serial, Data, Spatial, Filter,
@@ -241,9 +231,9 @@ pub(crate) struct KernelColumns<'c> {
 /// shared gates and assembles a full estimate only for candidates that
 /// improve a budget slot or the heap.
 /// Full-ranking mode costs every candidate through the incremental delta
-/// chain and appends to `found` once per chunk. The shared-state
-/// transitions match the streaming search's exactly, so any interleaving
-/// of chunks produces the same final report.
+/// chain and appends to `found` once per chunk. Every shared-state update
+/// is monotone, so any interleaving of chunks produces the same final
+/// report.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn eval_chunk_kernel(
     engine: &CostEngine<'_>,
@@ -343,8 +333,8 @@ pub(crate) fn eval_chunk_kernel(
             // bit-identical to `estimate_with_memory(..).epoch_time()` (the
             // lower bound *is* the compute sum and `total()` adds
             // communication last), so the improves/threshold decisions
-            // match the streaming search's; the full estimate is assembled
-            // only when needed.
+            // match a full estimate's; the full estimate is assembled only
+            // when needed.
             for (pos, &xu) in surv[..n].iter().enumerate() {
                 let x = xu as usize;
                 let idx = slots[x] as usize;
@@ -438,8 +428,8 @@ pub(crate) fn eval_chunk_kernel(
 /// One full analytic search: enumerate, prep the SoA columns (fused
 /// memory + lower-bound pass, memory pruning), derive the static bounds
 /// from the seed panel, evaluate in parallel chunks through
-/// [`eval_chunk_kernel`], and assemble the report. Returns exactly what
-/// `Oracle::search_streaming` returns for the same engine and constraints.
+/// [`eval_chunk_kernel`], and assemble the report — the body of every
+/// single ranked query (`Oracle::search`, `Oracle::answer_with_engine`).
 pub(crate) fn kernel_search(engine: &CostEngine<'_>, constraints: &Constraints) -> SearchReport {
     let candidates =
         StrategySpace::with_limits(engine.config().batch_size, constraints, engine.limits())
@@ -467,7 +457,7 @@ pub(crate) fn kernel_search(engine: &CostEngine<'_>, constraints: &Constraints) 
     let winners: Vec<Mutex<Option<RankedCandidate>>> =
         (0..shared.num_budget_slots()).map(|_| Mutex::new(None)).collect();
     let found = Mutex::new(Vec::new());
-    let chunk = chunk_from_env();
+    let chunk = DEFAULT_CHUNK;
     let n_chunks = cands.len().div_ceil(chunk);
     let _: Vec<()> = (0..n_chunks)
         .into_par_iter()

@@ -44,9 +44,9 @@ pub struct Constraints {
     /// strategy.
     pub pipeline_segments: usize,
     /// When `Some(k)`, [`crate::search`] keeps only the `k` best candidates
-    /// (bounded-heap ranking) and branch-and-bound prunes candidates whose
-    /// compute-only lower bound cannot beat the current winners. `None`
-    /// (default) ranks every feasible candidate and never bound-prunes.
+    /// (bounded-heap ranking) and prunes candidates whose compute-only lower
+    /// bound is provably dominated ([`crate::kernel`]). `None` (default)
+    /// ranks every feasible candidate and never bound-prunes.
     pub top_k: Option<usize>,
     /// PE-count sweep mode of the candidate enumeration.
     pub sweep: PeSweep,
@@ -336,7 +336,8 @@ impl<C: ComputeModel + ?Sized + Sync> Oracle<'_, C> {
                 }
             }
             QueryMode::TopK(_) | QueryMode::FullRank => {
-                let ranked = QueryAnswer::Ranked(self.search_impl(engine, &constraints));
+                let ranked =
+                    QueryAnswer::Ranked(crate::kernel::kernel_search(engine, &constraints));
                 match &query.calibration {
                     Some(cal) => ranked.recalibrated(cal),
                     None => ranked,

@@ -12,21 +12,18 @@
 //! checks go through the precomputed [`ModelLimits`] table, so enumerating a
 //! candidate is `O(1)` in the model depth.
 //!
-//! [`Oracle::search`] streams the space through the precomputed
-//! [`CostEngine`] with rayon across all cores: candidates are memory-pruned
-//! before costing, and — when [`Constraints::top_k`] is set — branch-and-bound
-//! pruned against a shared atomic best-cost (a candidate whose compute-only
-//! lower bound cannot beat the current top-k *or* the best candidate in its
-//! PE budget is skipped without costing) while a bounded heap keeps the `k`
-//! best instead of sorting every feasible candidate. The result is a ranked
-//! [`SearchReport`]. [`Oracle::search_serial`] is the single-threaded
-//! engine-backed variant that returns bit-identical results;
-//! [`Oracle::search_reference`] is the original per-layer slow path kept as
-//! the equivalence-tested reference and benchmark baseline.
+//! [`Oracle::search`] evaluates the space through the analytic kernel
+//! ([`crate::kernel`]) with rayon across all cores: candidates are
+//! memory-pruned before costing, and — when [`Constraints::top_k`] is set —
+//! statically dominance-pruned while a bounded heap keeps the `k` best
+//! instead of sorting every feasible candidate. The result is a ranked,
+//! deterministic [`SearchReport`]. [`Oracle::search_reference`] is the
+//! original per-layer slow path, kept as the reference the kernel is
+//! equivalence-tested against.
 
 use crate::compute::ComputeModel;
 use crate::cost::estimate_with_memory;
-use crate::engine::{CostEngine, ModelLimits};
+use crate::engine::ModelLimits;
 use crate::memory::memory_per_pe;
 use crate::model::Model;
 use crate::oracle::{Constraints, Oracle, PeSweep, Projection};
@@ -65,8 +62,8 @@ impl StrategySpace {
     }
 
     /// Like [`StrategySpace::new`], but reuses a precomputed [`ModelLimits`]
-    /// table (e.g. the one inside a [`CostEngine`]) so every candidate is
-    /// validated in `O(1)`.
+    /// table (e.g. the one inside a [`crate::engine::CostEngine`]) so every
+    /// candidate is validated in `O(1)`.
     ///
     /// Emits candidates directly in [`strategy_sort_key`] order, with no
     /// global sort: the non-hybrid families already enumerate in key order
@@ -216,8 +213,7 @@ impl StrategySpace {
     /// The straightforward nested-loop enumeration [`StrategySpace::with_limits`]
     /// replaced: generate every family's cross product, then globally
     /// sort + dedup by [`strategy_sort_key`]. Kept as the equivalence-tested
-    /// reference for the sieve-based enumerator and as the mechanical
-    /// baseline of the kernel benchmark.
+    /// reference for the sieve-based enumerator.
     pub fn with_limits_reference(
         batch: usize,
         constraints: &Constraints,
@@ -489,22 +485,20 @@ pub struct SearchReport {
     pub enumerated: usize,
     /// Candidates discarded by the memory-capacity check before costing.
     pub pruned_by_memory: usize,
-    /// Candidates skipped by *dynamic* branch-and-bound pruning (compute-only
-    /// lower bound already worse than the running winners) before costing.
-    /// Always 0 unless [`Constraints::top_k`] is set. The exact count depends
-    /// on evaluation order and is therefore **not** deterministic across
-    /// runs — only the ranked results are. The analytic kernel
-    /// ([`crate::kernel`]) never uses this counter: its pruning is static and
-    /// lands in `pruned_by_dominance` instead.
+    /// Always 0; kept only because the benchmark harness reads it. Every
+    /// candidate skipped before costing is counted in `pruned_by_memory` or
+    /// `pruned_by_dominance`.
     pub pruned_by_bound: usize,
     /// Candidates discarded by the kernel's static dominance bound before
     /// costing: their compute-only lower bound provably exceeds what an
     /// already-known candidate achieves at every PE budget they belong to
-    /// (see [`crate::kernel::StaticBounds`]). Unlike `pruned_by_bound` this
-    /// count is **deterministic**: the bound is fixed before the scan starts
-    /// and the per-chunk counts are accumulated commutatively, so any
-    /// evaluation order produces the same number. Always 0 on the streaming
-    /// search paths.
+    /// (see [`crate::kernel::StaticBounds`]). The count is
+    /// **deterministic**: the bound is fixed before the scan starts and the
+    /// per-chunk counts are accumulated commutatively, so any evaluation
+    /// order produces the same number. A [`crate::grid::GridSweep`] cell
+    /// cuts on exact epoch times where a single query cuts on lower bounds,
+    /// so a grid cell may report more dominance prunes than the same query
+    /// answered alone — with an identical ranking.
     pub pruned_by_dominance: usize,
     /// The costed candidates, fastest first (deterministic order): every
     /// feasible candidate when [`Constraints::top_k`] is `None`, otherwise
@@ -528,12 +522,12 @@ impl SearchReport {
 
     /// Number of candidates that were actually costed.
     pub fn evaluated(&self) -> usize {
-        self.enumerated - self.pruned_by_memory - self.pruned_by_bound - self.pruned_by_dominance
+        self.enumerated - self.pruned()
     }
 
     /// Total candidates discarded before costing, by any pruning stage.
     pub fn pruned(&self) -> usize {
-        self.pruned_by_memory + self.pruned_by_bound + self.pruned_by_dominance
+        self.pruned_by_memory + self.pruned_by_dominance
     }
 
     /// The `n` fastest ranked candidates (fewer when the ranking is
@@ -588,13 +582,13 @@ fn atomic_min(cell: &AtomicU64, value: f64) {
     }
 }
 
-/// Shared state of one streaming search: prune counters, the per-budget
+/// Shared state of one kernel search: prune counters, the per-budget
 /// atomic best costs, and — when `top_k` is set — the bounded heap plus the
-/// atomic k-th-best threshold that drives branch-and-bound pruning. All
-/// updates are monotone (thresholds only decrease), so stale reads are
-/// merely conservative and the final results are order-independent —
-/// which is also what lets [`crate::grid::GridSweep`] interleave the chunks
-/// of one query with other queries' work.
+/// atomic k-th-best threshold that gates heap admission. All updates are
+/// monotone (thresholds only decrease), so stale reads are merely
+/// conservative and the final results are order-independent — which is
+/// also what lets [`crate::grid::GridSweep`] interleave the chunks of one
+/// query with other queries' work.
 pub(crate) struct SearchShared {
     top_k: Option<usize>,
     /// Current k-th best epoch time (bits); `+∞` until the heap holds `k`.
@@ -603,7 +597,6 @@ pub(crate) struct SearchShared {
     budget_best: Vec<AtomicU64>,
     heap: Mutex<BinaryHeap<HeapEntry>>,
     pruned_memory: AtomicUsize,
-    pruned_bound: AtomicUsize,
     pruned_dominance: AtomicUsize,
 }
 
@@ -616,14 +609,12 @@ impl SearchShared {
             budget_best: (0..slots).map(|_| AtomicU64::new(f64::INFINITY.to_bits())).collect(),
             heap: Mutex::new(BinaryHeap::new()),
             pruned_memory: AtomicUsize::new(0),
-            pruned_bound: AtomicUsize::new(0),
             pruned_dominance: AtomicUsize::new(0),
         }
     }
 
-    /// Seeds the memory-pruned counter (used by the grid sweep, which
-    /// memory-filters candidates once per (model, batch) before the
-    /// per-cluster evaluation).
+    /// Seeds the memory-pruned counter (the kernel memory-filters
+    /// candidates in its prep pass, before evaluation).
     pub(crate) fn set_memory_pruned(&self, n: usize) {
         self.pruned_memory.store(n, Ordering::Relaxed);
     }
@@ -637,13 +628,6 @@ impl SearchShared {
     /// candidate of that budget is observed).
     pub(crate) fn budget_best_time(&self, idx: usize) -> f64 {
         f64::from_bits(self.budget_best[idx].load(Ordering::Relaxed))
-    }
-
-    /// Records one bound-pruned candidate (callers that inline the
-    /// [`SearchShared::should_prune`] check, like the grid sweep's top-k
-    /// path, use this to keep the report accounting consistent).
-    pub(crate) fn count_bound_pruned(&self) {
-        self.pruned_bound.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Adds `n` statically dominance-pruned candidates (the kernel counts
@@ -668,27 +652,6 @@ impl SearchShared {
         if matches!(self.top_k, Some(k) if k > 0) {
             atomic_min(&self.threshold, time);
         }
-    }
-
-    /// Whether a candidate with compute-only lower bound `lb` can be skipped:
-    /// it can neither enter the top-k nor win any PE budget it belongs to.
-    pub(crate) fn should_prune(&self, lb: f64, strategy: &Strategy) -> bool {
-        if self.top_k.is_none() {
-            return false;
-        }
-        let threshold = f64::from_bits(self.threshold.load(Ordering::Relaxed));
-        if lb <= threshold {
-            return false;
-        }
-        let idx = budget_index(strategy.total_pes());
-        let budget = f64::from_bits(self.budget_best[idx].load(Ordering::Relaxed));
-        lb > budget
-    }
-
-    /// Records an evaluated candidate in the budget table and top-k heap.
-    fn observe(&self, candidate: &RankedCandidate) {
-        self.record_budget(budget_index(candidate.strategy.total_pes()), candidate.epoch_time());
-        self.offer_topk(candidate);
     }
 
     /// Lowers the budget slot's best time towards `time` (a no-op when
@@ -759,108 +722,31 @@ impl SearchShared {
     }
 }
 
-/// Memory-prunes (against a per-PE memory value the caller already
-/// computed), bound-prunes (against a precomputed compute-only lower
-/// bound), then costs one candidate through the engine. Shared by the
-/// streaming search below and the chunked SoA evaluation of
-/// [`crate::grid::GridSweep`], whose prep tables supply `mem` and `lb` so
-/// neither is recomputed per cell.
-pub(crate) fn evaluate_pruned_with_bound(
-    engine: &CostEngine<'_>,
-    strategy: Strategy,
-    mem: f64,
-    lb: f64,
-    constraints: &Constraints,
-    shared: &SearchShared,
-) -> Option<RankedCandidate> {
-    if mem > constraints.memory_capacity_bytes {
-        shared.pruned_memory.fetch_add(1, Ordering::Relaxed);
-        return None;
-    }
-    if shared.should_prune(lb, &strategy) {
-        shared.pruned_bound.fetch_add(1, Ordering::Relaxed);
-        return None;
-    }
-    let cost = engine.estimate_with_memory(strategy, mem);
-    let candidate = RankedCandidate {
-        strategy,
-        projection: Projection { cost, fits_memory: true, within_scaling_limit: true },
-    };
-    shared.observe(&candidate);
-    Some(candidate)
-}
-
-/// Memory-prunes, bound-prunes, then costs one candidate through the engine.
-fn evaluate_streaming(
-    engine: &CostEngine<'_>,
-    strategy: Strategy,
-    constraints: &Constraints,
-    shared: &SearchShared,
-) -> Option<RankedCandidate> {
-    evaluate_pruned_with_bound(
-        engine,
-        strategy,
-        engine.memory_per_pe(strategy),
-        engine.lower_bound(strategy),
-        constraints,
-        shared,
-    )
-}
-
-/// Assembles the final report from the streamed survivors. Order-independent:
-/// `ranked` is re-sorted by the total candidate order (or drained from the
-/// top-k heap) and the budget winners are minima under the same order, so
-/// any interleaving of the evaluation produces the same report (modulo the
-/// `pruned_by_bound` counter, which is documented as non-deterministic).
+/// Assembles the full-ranking report (`top_k == None`) from the costed
+/// survivors. Order-independent: `ranked` is re-sorted by the total
+/// candidate order and the budget winners are minima under the same order,
+/// so any interleaving of the evaluation produces the same report.
 pub(crate) fn finish_report(
     enumerated: usize,
     survivors: Vec<RankedCandidate>,
     constraints: &Constraints,
     shared: SearchShared,
 ) -> SearchReport {
-    let pruned_by_memory = shared.pruned_memory.load(Ordering::Relaxed);
-    let pruned_by_bound = shared.pruned_bound.load(Ordering::Relaxed);
-    let pruned_by_dominance = shared.pruned_dominance.load(Ordering::Relaxed);
-    let budgets = powers_of_two(1, constraints.max_pes.max(1));
-
-    let (ranked, best_per_budget) = match shared.top_k {
-        None => {
-            let mut ranked = survivors;
-            ranked.sort_by(candidate_cmp);
-            let mut best_per_budget = Vec::new();
-            for &budget in &budgets {
-                let winner = ranked.iter().find(|c| c.strategy.total_pes() <= budget).copied();
-                if let Some(candidate) = winner {
-                    best_per_budget.push(BudgetWinner { max_pes: budget, candidate });
-                }
-            }
-            (ranked, best_per_budget)
+    debug_assert!(shared.top_k.is_none(), "top-k reports are assembled by finish_report_topk");
+    let mut ranked = survivors;
+    ranked.sort_by(candidate_cmp);
+    let mut best_per_budget = Vec::new();
+    for budget in powers_of_two(1, constraints.max_pes.max(1)) {
+        let winner = ranked.iter().find(|c| c.strategy.total_pes() <= budget).copied();
+        if let Some(candidate) = winner {
+            best_per_budget.push(BudgetWinner { max_pes: budget, candidate });
         }
-        Some(_) => {
-            // Budget winners from every evaluated candidate (the bound
-            // pruning guarantees no budget winner was skipped), independent
-            // of the global top-k.
-            let mut slot_best: Vec<Option<RankedCandidate>> = vec![None; budgets.len()];
-            for c in &survivors {
-                let idx = budget_index(c.strategy.total_pes());
-                if let Some(slot) = slot_best.get_mut(idx) {
-                    let better = slot
-                        .map(|cur| candidate_cmp(c, &cur) == std::cmp::Ordering::Less)
-                        .unwrap_or(true);
-                    if better {
-                        *slot = Some(*c);
-                    }
-                }
-            }
-            return finish_report_topk(enumerated, slot_best, constraints, shared);
-        }
-    };
-
+    }
     SearchReport {
         enumerated,
-        pruned_by_memory,
-        pruned_by_bound,
-        pruned_by_dominance,
+        pruned_by_memory: shared.pruned_memory.load(Ordering::Relaxed),
+        pruned_by_bound: 0,
+        pruned_by_dominance: shared.pruned_dominance.load(Ordering::Relaxed),
         ranked,
         best_per_budget,
     }
@@ -879,7 +765,6 @@ pub(crate) fn finish_report_topk(
     shared: SearchShared,
 ) -> SearchReport {
     let pruned_by_memory = shared.pruned_memory.load(Ordering::Relaxed);
-    let pruned_by_bound = shared.pruned_bound.load(Ordering::Relaxed);
     let pruned_by_dominance = shared.pruned_dominance.load(Ordering::Relaxed);
     let heap = shared.heap.into_inner().expect("top-k heap poisoned");
     let ranked: Vec<RankedCandidate> =
@@ -902,7 +787,7 @@ pub(crate) fn finish_report_topk(
     SearchReport {
         enumerated,
         pruned_by_memory,
-        pruned_by_bound,
+        pruned_by_bound: 0,
         pruned_by_dominance,
         ranked,
         best_per_budget,
@@ -916,13 +801,14 @@ impl<C: ComputeModel + ?Sized + Sync> Oracle<'_, C> {
         StrategySpace::new(self.model, self.config.batch_size, constraints)
     }
 
-    /// Exhaustive strategy search through the precomputed [`CostEngine`],
-    /// evaluated in parallel across cores with rayon. Memory-infeasible
-    /// candidates are pruned before the cost model runs; with
-    /// [`Constraints::top_k`] set, candidates whose compute-only lower bound
-    /// cannot beat the running winners are branch-and-bound pruned and only
-    /// the `k` best are kept (bounded heap). Deterministic: returns exactly
-    /// what [`Oracle::search_serial`] returns.
+    /// Exhaustive strategy search through the precomputed
+    /// [`crate::engine::CostEngine`] and the analytic kernel
+    /// ([`crate::kernel`]), evaluated in parallel across cores with rayon.
+    /// Memory-infeasible candidates are pruned before the cost model runs;
+    /// with [`Constraints::top_k`] set, candidates whose compute-only lower
+    /// bound is provably dominated are skipped and only the `k` best are
+    /// kept (bounded heap). Deterministic: repeated calls return identical
+    /// reports.
     ///
     /// Delegates to [`Oracle::answer`] with a ranked-mode
     /// [`crate::query::Query`] (the canonical entry point); the oracle's
@@ -947,75 +833,9 @@ impl<C: ComputeModel + ?Sized + Sync> Oracle<'_, C> {
         }
     }
 
-    /// Like [`Oracle::search`], but evaluates through a [`CostEngine`] the
-    /// caller already built (possibly [`CostEngine::rebatch`]ed — the
-    /// candidate space is enumerated at the *engine's* current batch).
-    #[deprecated(since = "0.6.0", note = "use Oracle::answer_with_engine with a ranked-mode Query")]
-    pub fn search_with_engine(
-        &self,
-        engine: &CostEngine<'_>,
-        constraints: &Constraints,
-    ) -> SearchReport {
-        self.search_impl(engine, constraints)
-    }
-
-    /// Search evaluation through an explicit engine — the shared body of
-    /// [`Oracle::search`], the deprecated `search_with_engine`, and the
-    /// ranked arms of `Oracle::answer_with_engine`. Runs the analytic
-    /// evaluation kernel ([`crate::kernel`]): SoA prep columns, static
-    /// dominance bounds, masked feasibility filtering and incremental cost
-    /// deltas — returning exactly what the streaming search returns
-    /// (property-tested), only faster.
-    pub(crate) fn search_impl(
-        &self,
-        engine: &CostEngine<'_>,
-        constraints: &Constraints,
-    ) -> SearchReport {
-        crate::kernel::kernel_search(engine, constraints)
-    }
-
-    /// The streaming (pre-kernel) search evaluation: every candidate is
-    /// memory- and bound-checked then costed individually through `engine`,
-    /// with rayon across cores. Kept as the mechanical baseline the analytic
-    /// kernel is equivalence-tested and benchmarked against (per-query
-    /// grid baselines in `paradl-bench` pin their "naive" side to this).
-    pub fn search_streaming(
-        &self,
-        engine: &CostEngine<'_>,
-        constraints: &Constraints,
-    ) -> SearchReport {
-        let candidates =
-            StrategySpace::with_limits(engine.config().batch_size, constraints, engine.limits())
-                .into_vec();
-        let shared = SearchShared::new(constraints);
-        let outcomes: Vec<Option<RankedCandidate>> = candidates
-            .par_iter()
-            .map(|&strategy| evaluate_streaming(engine, strategy, constraints, &shared))
-            .collect();
-        let survivors = outcomes.into_iter().flatten().collect();
-        finish_report(candidates.len(), survivors, constraints, shared)
-    }
-
-    /// Single-threaded variant of [`Oracle::search`] (same engine, same
-    /// pruning), used by the equivalence tests and as the parallel-speedup
-    /// baseline. Returns bit-identical results to the parallel search.
-    pub fn search_serial(&self, constraints: &Constraints) -> SearchReport {
-        let engine = self.engine();
-        let candidates =
-            StrategySpace::with_limits(self.config.batch_size, constraints, engine.limits())
-                .into_vec();
-        let shared = SearchShared::new(constraints);
-        let outcomes: Vec<Option<RankedCandidate>> = candidates
-            .iter()
-            .map(|&strategy| evaluate_streaming(&engine, strategy, constraints, &shared))
-            .collect();
-        let survivors = outcomes.into_iter().flatten().collect();
-        finish_report(candidates.len(), survivors, constraints, shared)
-    }
-
     /// The original (pre-engine) search path: every candidate re-walks the
     /// model through [`crate::cost::estimate_with_memory`], every feasible
-    /// candidate is ranked, and no branch-and-bound pruning happens
+    /// candidate is ranked, and no dominance pruning happens
     /// ([`Constraints::top_k`] is ignored). Kept as the equivalence-tested
     /// reference for the engine and as the baseline of the
     /// `paradl-bench` `engine` benchmark.
@@ -1224,15 +1044,9 @@ mod tests {
         let oracle = Oracle::new(&m, &d, &cl, cfg);
         let single = Constraints { max_pes: 1, top_k: Some(4), ..Constraints::default() };
         let report = oracle.search(&single);
-        let serial = oracle.search_serial(&single);
-        assert_eq!(report.enumerated, serial.enumerated);
-        assert_eq!(report.ranked.len(), serial.ranked.len());
+        let full = oracle.search(&Constraints { top_k: None, ..single });
         assert!(!report.ranked.is_empty(), "Serial always fits");
-        for (a, b) in report.ranked.iter().zip(&serial.ranked) {
-            assert_eq!(a.strategy, b.strategy);
-            assert_eq!(a.projection, b.projection);
-        }
-        assert_eq!(report.best_per_budget.len(), serial.best_per_budget.len());
+        assert_eq!(report, full, "top-4 of the max_pes = 1 space is its full ranking");
 
         let tiny = Constraints {
             max_pes: 256,
@@ -1248,39 +1062,19 @@ mod tests {
     }
 
     #[test]
-    fn parallel_and_serial_search_agree_exactly() {
+    fn repeated_searches_return_identical_reports() {
         let (m, d, cl, cfg) = oracle_parts();
         let oracle = Oracle::new(&m, &d, &cl, cfg);
-        let c = constraints();
-        let par = oracle.search(&c);
-        let ser = oracle.search_serial(&c);
-        assert_eq!(par.enumerated, ser.enumerated);
-        assert_eq!(par.pruned_by_memory, ser.pruned_by_memory);
-        assert_eq!(par.ranked.len(), ser.ranked.len());
-        for (a, b) in par.ranked.iter().zip(&ser.ranked) {
-            assert_eq!(a.strategy, b.strategy);
-            assert_eq!(a.projection, b.projection);
-        }
-        let (pb, sb) = (par.best().unwrap(), ser.best().unwrap());
-        assert_eq!(pb.strategy, sb.strategy, "winner differs between parallel and serial");
-    }
-
-    #[test]
-    fn parallel_and_serial_agree_with_pruning() {
-        let (m, d, cl, cfg) = oracle_parts();
-        let oracle = Oracle::new(&m, &d, &cl, cfg);
-        let c = Constraints { top_k: Some(5), ..constraints() };
-        let par = oracle.search(&c);
-        let ser = oracle.search_serial(&c);
-        assert_eq!(par.ranked.len(), ser.ranked.len());
-        for (a, b) in par.ranked.iter().zip(&ser.ranked) {
-            assert_eq!(a.strategy, b.strategy);
-            assert_eq!(a.projection, b.projection);
-        }
-        assert_eq!(par.best_per_budget.len(), ser.best_per_budget.len());
-        for (a, b) in par.best_per_budget.iter().zip(&ser.best_per_budget) {
-            assert_eq!(a.max_pes, b.max_pes);
-            assert_eq!(a.candidate.strategy, b.candidate.strategy);
+        for sweep in [PeSweep::PowersOfTwo, PeSweep::Exhaustive] {
+            for top_k in [None, Some(1), Some(7)] {
+                let c = Constraints { top_k, sweep, ..constraints() };
+                let first = oracle.search(&c);
+                assert_eq!(first.pruned_by_bound, 0);
+                assert_eq!(first.evaluated() + first.pruned(), first.enumerated);
+                for _ in 0..2 {
+                    assert_eq!(oracle.search(&c), first, "{sweep:?}, top_k {top_k:?}");
+                }
+            }
         }
     }
 

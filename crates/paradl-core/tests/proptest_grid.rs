@@ -2,10 +2,10 @@
 //! per-query [`Oracle::search`] calls: for *any* random grid of CNNs,
 //! batch axes, clusters and constraints (with and without top-k pruning,
 //! powers-of-two and exhaustive PE sweeps), every cell of the sweep must
-//! reproduce the per-query search exactly — same enumeration and
-//! memory-pruning counts, same ranking with byte-identical projections,
-//! same per-budget winners. Only `pruned_by_bound` may differ (documented
-//! as evaluation-order dependent).
+//! equal the per-query search on the whole report. The one exception is
+//! `pruned_by_dominance`: a grid cell cuts on exact epoch times where a
+//! single query cuts on lower bounds, so the grid may prune more, never
+//! fewer.
 
 use paradl_core::prelude::*;
 use proptest::prelude::{prop_assert, prop_oneof, proptest, Just, ProptestConfig};
@@ -73,33 +73,25 @@ proptest! {
             .with_batches(batches)
             .with_cluster(ClusterSpec::paper_system())
             .with_cluster(ClusterSpec::workstation(8));
-        let sweep = GridSweep::new().with_chunk_size(chunk);
-        let fast = sweep.run(&grid);
-        let slow = sweep.run_per_query(&grid);
+        let fast = GridSweep::new().with_chunk_size(chunk).run(&grid);
         prop_assert!(fast.len() == grid.num_queries());
-        prop_assert!(fast.len() == slow.len());
-        for (a, b) in fast.cells.iter().zip(&slow.cells) {
-            prop_assert!(a.query == b.query);
-            let what = format!("{:?}", a.query);
-            prop_assert!(a.report.enumerated == b.report.enumerated, "{what}: enumerated");
-            prop_assert!(a.report.pruned_by_memory == b.report.pruned_by_memory, "{what}: pruned");
-            prop_assert!(a.report.ranked.len() == b.report.ranked.len(), "{what}: ranked len");
-            for (x, y) in a.report.ranked.iter().zip(&b.report.ranked) {
-                prop_assert!(x.strategy == y.strategy, "{what}: strategy");
-                prop_assert!(x.projection == y.projection, "{what}: projection diverged");
-            }
+        for (cell, query) in fast.cells.iter().zip(grid.queries()) {
+            prop_assert!(cell.query == query);
+            let gm = &grid.models()[query.model];
+            let cluster = &grid.clusters()[query.cluster];
+            let oracle =
+                Oracle::new(&gm.model, &cluster.device, cluster, gm.config_at(query.batch));
+            let alone = oracle.search(grid.constraints());
+            prop_assert!(cell.report.pruned_by_bound == 0 && alone.pruned_by_bound == 0);
             prop_assert!(
-                a.report.best_per_budget.len() == b.report.best_per_budget.len(),
-                "{what}: budget len"
+                cell.report.pruned_by_dominance >= alone.pruned_by_dominance,
+                "{query:?}: grid pruned fewer than the per-query search"
             );
-            for (x, y) in a.report.best_per_budget.iter().zip(&b.report.best_per_budget) {
-                prop_assert!(x.max_pes == y.max_pes, "{what}: budget");
-                prop_assert!(x.candidate.strategy == y.candidate.strategy, "{what}: winner");
-                prop_assert!(
-                    x.candidate.projection == y.candidate.projection,
-                    "{what}: budget projection diverged"
-                );
-            }
+            let normalised = SearchReport {
+                pruned_by_dominance: alone.pruned_by_dominance,
+                ..cell.report.clone()
+            };
+            prop_assert!(normalised == alone, "{query:?}: report diverged");
         }
     }
 }

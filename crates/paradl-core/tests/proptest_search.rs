@@ -112,7 +112,6 @@ proptest! {
         let full = oracle.search(&constraints);
         let pruned_constraints = Constraints { top_k: Some(k), ..constraints };
         let pruned = oracle.search(&pruned_constraints);
-        let serial = oracle.search_serial(&pruned_constraints);
         // The bounded-heap ranking is exactly the prefix of the full ranking.
         prop_assert!(pruned.ranked.len() == k.min(full.ranked.len()));
         for (a, b) in pruned.ranked.iter().zip(&full.ranked) {
@@ -125,13 +124,11 @@ proptest! {
             prop_assert!(a.max_pes == b.max_pes);
             prop_assert!(a.candidate.strategy == b.candidate.strategy);
         }
-        // Parallel and serial pruned searches return identical results.
-        prop_assert!(pruned.ranked.len() == serial.ranked.len());
-        for (a, b) in pruned.ranked.iter().zip(&serial.ranked) {
-            prop_assert!(a.strategy == b.strategy);
-            prop_assert!(a.projection == b.projection);
-        }
-        // Accounting adds up (memory + dynamic bound + static dominance).
+        // Repeated searches return identical whole reports.
+        prop_assert!(oracle.search(&pruned_constraints) == pruned);
+        prop_assert!(oracle.search(&constraints) == full);
+        prop_assert!(pruned.pruned_by_bound == 0 && full.pruned_by_bound == 0);
+        // Accounting adds up (memory + static dominance).
         prop_assert!(pruned.evaluated() + pruned.pruned() == pruned.enumerated);
     }
 

@@ -26,11 +26,11 @@
 //! engine-core build, instead of `n` full evaluations.
 //!
 //! This is sound because a grid sweep is defined to produce, cell for cell,
-//! the same `SearchReport` a standalone search would (the conformance tests
-//! in `paradl-core` pin that), and because `QueryAnswer::to_json` excludes
-//! the one order-dependent counter (`pruned_by_bound`). Served answers are
-//! therefore **byte-identical** to local `Oracle::answer` results — the
-//! integration tests assert exactly that.
+//! the same `SearchReport` a standalone search would apart from the
+//! dominance-prune count (the equivalence tests in `paradl-core` pin that),
+//! and because `QueryAnswer::to_json` leaves that counter out. Served
+//! answers are therefore **byte-identical** to local `Oracle::answer`
+//! results — the integration tests assert exactly that.
 //!
 //! Suggest and survey queries are cheap and are answered per-request, still
 //! sharing the engine-core LRU.

@@ -88,7 +88,7 @@ fn arb_answer() -> impl PropStrategy<Value = QueryAnswer> {
                 QueryAnswer::Ranked(SearchReport {
                     enumerated,
                     pruned_by_memory: pruned,
-                    pruned_by_bound: pruned / 2,
+                    pruned_by_bound: 0,
                     pruned_by_dominance: pruned / 3,
                     ranked: vec![
                         RankedCandidate { strategy: a.cost.strategy, projection: a },

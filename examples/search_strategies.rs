@@ -32,13 +32,14 @@ fn main() {
         report.evaluated()
     );
 
-    // The same search with branch-and-bound pruning: keep only the top 10,
-    // skip candidates whose compute-only lower bound can't beat the running
-    // winners. Same ranking prefix and budget winners, less work.
+    // The same search with dominance pruning: keep only the top 10, skip
+    // candidates whose compute-only lower bound is provably beaten by an
+    // already-costed seed candidate. Same ranking prefix and budget winners,
+    // less work.
     let pruned = oracle.search(&Constraints { top_k: Some(10), ..constraints });
     println!(
-        "top-k search: {} bound-pruned, {} costed, same winner: {}\n",
-        pruned.pruned_by_bound,
+        "top-k search: {} dominance-pruned, {} costed, same winner: {}\n",
+        pruned.pruned_by_dominance,
         pruned.evaluated(),
         pruned.best().map(|b| b.strategy == report.best().unwrap().strategy).unwrap_or(false),
     );
