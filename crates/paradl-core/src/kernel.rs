@@ -431,6 +431,17 @@ pub(crate) fn eval_chunk_kernel(
 /// [`eval_chunk_kernel`], and assemble the report — the body of every
 /// single ranked query (`Oracle::search`, `Oracle::answer_with_engine`).
 pub(crate) fn kernel_search(engine: &CostEngine<'_>, constraints: &Constraints) -> SearchReport {
+    kernel_search_chunked(engine, constraints, DEFAULT_CHUNK)
+}
+
+/// [`kernel_search`] with an explicit candidates-per-chunk granularity
+/// (clamped to ≥ 1); `usize::MAX` evaluates the whole space as one chunk on
+/// one worker. The report does not depend on `chunk`.
+pub(crate) fn kernel_search_chunked(
+    engine: &CostEngine<'_>,
+    constraints: &Constraints,
+    chunk: usize,
+) -> SearchReport {
     let candidates =
         StrategySpace::with_limits(engine.config().batch_size, constraints, engine.limits())
             .into_vec();
@@ -457,7 +468,7 @@ pub(crate) fn kernel_search(engine: &CostEngine<'_>, constraints: &Constraints) 
     let winners: Vec<Mutex<Option<RankedCandidate>>> =
         (0..shared.num_budget_slots()).map(|_| Mutex::new(None)).collect();
     let found = Mutex::new(Vec::new());
-    let chunk = DEFAULT_CHUNK;
+    let chunk = chunk.max(1);
     let n_chunks = cands.len().div_ceil(chunk);
     let _: Vec<()> = (0..n_chunks)
         .into_par_iter()

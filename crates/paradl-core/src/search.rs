@@ -1079,6 +1079,45 @@ mod tests {
     }
 
     #[test]
+    fn parallel_and_serial_search_agree_exactly() {
+        // Many small chunks spread over the workers versus the whole space
+        // as one chunk on one worker: identical full-ranking reports.
+        let (m, d, cl, cfg) = oracle_parts();
+        let oracle = Oracle::new(&m, &d, &cl, cfg);
+        let engine = oracle.engine();
+        for sweep in [PeSweep::PowersOfTwo, PeSweep::Exhaustive] {
+            let c = Constraints { sweep, ..constraints() };
+            let ser = crate::kernel::kernel_search_chunked(&engine, &c, usize::MAX);
+            assert!(ser.enumerated > 7, "the space must span several chunks");
+            let par = crate::kernel::kernel_search_chunked(&engine, &c, 7);
+            assert_eq!(par, ser, "{sweep:?}: chunked search differs from one-chunk search");
+            assert_eq!(oracle.search(&c), ser, "{sweep:?}: Oracle::search differs");
+            let (pb, sb) = (par.best().unwrap(), ser.best().unwrap());
+            assert_eq!(pb.strategy, sb.strategy, "winner differs between parallel and serial");
+        }
+    }
+
+    #[test]
+    fn parallel_and_serial_agree_with_pruning() {
+        // The top-k path keeps per-budget winner slots shared across
+        // chunks; splitting must not change which candidates survive.
+        let (m, d, cl, cfg) = oracle_parts();
+        let oracle = Oracle::new(&m, &d, &cl, cfg);
+        let engine = oracle.engine();
+        for k in [1usize, 5] {
+            let c = Constraints { top_k: Some(k), ..constraints() };
+            let ser = crate::kernel::kernel_search_chunked(&engine, &c, usize::MAX);
+            for chunk in [1usize, 7, 64] {
+                let par = crate::kernel::kernel_search_chunked(&engine, &c, chunk);
+                assert_eq!(par, ser, "top-{k}, chunk {chunk}");
+            }
+            assert_eq!(oracle.search(&c), ser, "top-{k}: Oracle::search differs");
+            assert_eq!(ser.ranked.len(), k);
+            assert!(!ser.best_per_budget.is_empty());
+        }
+    }
+
+    #[test]
     fn top_k_matches_prefix_of_full_ranking() {
         let (m, d, cl, cfg) = oracle_parts();
         let oracle = Oracle::new(&m, &d, &cl, cfg);
